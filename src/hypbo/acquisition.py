@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .gp import GPModel
 from .space import Hypothesis, SearchSpace
@@ -51,11 +51,10 @@ def expected_improvement(mean, std, incumbent: float, jitter: float = 0.0):
     delta = mean - incumbent - jitter
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, delta / np.where(std > 0, std, 1.0), 0.0)
-        ei = np.where(
-            std > 0,
-            delta * norm.cdf(z) + std * norm.pdf(z),
-            np.maximum(delta, 0.0),
-        )
+        # norm.cdf and norm.pdf as scipy.stats computes them, minus its
+        # per-call dispatch
+        pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+        ei = np.where(std > 0, delta * ndtr(z) + std * pdf, np.maximum(delta, 0.0))
     ei = np.maximum(ei, 0.0)  # cancellation can leave a tiny negative
     if ei.ndim == 0:
         return float(ei)

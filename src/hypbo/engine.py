@@ -259,10 +259,12 @@ def run(
 ) -> Trace:
     """Full optimization run; returns one trace row per evaluation.
 
-    The trace holds ``n_init + i_max`` rows: the initial design followed
-    by exactly ``i_max`` optimization evaluations (a lower batch is
-    truncated if the budget runs out mid-batch). With no hypotheses the
-    loop degenerates to plain GP optimization over the box.
+    The trace holds ``J + max(1, n_init - J) + i_max`` rows for ``J``
+    hypotheses: the initial design (one draw per hypothesis plus the
+    global draws, see ``initial_design``) followed by exactly ``i_max``
+    optimization evaluations (a lower batch is truncated if the budget
+    runs out mid-batch). With no hypotheses the loop degenerates to plain
+    GP optimization over the box.
     """
     config = config or EngineConfig()
     for h in hypotheses:

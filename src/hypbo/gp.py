@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize as _opt
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, get_lapack_funcs, solve_triangular
 
 from .dataset import Dataset
 from .space import SearchSpace
@@ -68,22 +68,40 @@ class KernelParams:
         )
 
 
-def matern52(x, z, params: KernelParams) -> float:
-    """Kernel value for a single pair of (already normalized) points."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    r = math.sqrt(float(np.sum(((x - z) / params.lengthscales) ** 2)))
-    a = _SQRT5 * r
-    return params.signal_variance * (1.0 + a + a * a / 3.0) * math.exp(-a)
+def _matern52_from_r2(r2: np.ndarray, signal_variance: float, work=None) -> np.ndarray:
+    """Matern-5/2 values from squared scaled distances, computed in place.
+
+    ``r2`` is overwritten with the kernel values and returned. ``work`` is
+    a pair of scratch arrays shaped like ``r2`` (allocated when omitted),
+    so the likelihood can reuse its buffers. Every operation is the same
+    IEEE operation, in the same order, as the textbook expression
+    ``sv * (1 + a + a*a/3) * exp(-a)`` with ``a = sqrt(5 r2)``.
+    """
+    e, poly = work if work is not None else (np.empty_like(r2), np.empty_like(r2))
+    a = np.sqrt(np.maximum(r2, 0.0, out=r2), out=r2)
+    a *= _SQRT5
+    np.exp(np.negative(a, out=e), out=e)
+    np.multiply(a, a, out=poly)
+    poly /= 3.0
+    a += 1.0
+    a += poly
+    a *= signal_variance
+    a *= e
+    return a
 
 
 def _cross_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Dense kernel matrix between row sets ``a`` (n,d) and ``b`` (m,d)."""
     diff = a[:, None, :] - b[None, :, :]
     r2 = np.einsum("ijk,k->ij", diff * diff, 1.0 / params.lengthscales**2)
-    r = np.sqrt(np.maximum(r2, 0.0))
-    a5 = _SQRT5 * r
-    return params.signal_variance * (1.0 + a5 + a5 * a5 / 3.0) * np.exp(-a5)
+    return _matern52_from_r2(r2, params.signal_variance)
+
+
+def matern52(x, z, params: KernelParams) -> float:
+    """Kernel value for a single pair of (already normalized) points."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return float(_cross_kernel(x, z, params)[0, 0])
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -201,6 +219,86 @@ def _unpack(theta, dim, base: KernelParams, optimize_noise, isotropic) -> Kernel
     return KernelParams(sv, ls, noise)
 
 
+def _tril_sq_dists(xn: np.ndarray):
+    """Squared scaled distances of the pairs ``np.tril_indices(n)``, as a
+    function ``(w, out)`` of the inverse squared lengthscales ``w``.
+
+    The bits equal those of the dense product ``diff**2 @ w`` over all
+    n*n pairs, which makes one BLAS ``gemv`` call per row block ``i``.
+    OpenBLAS's ``gemv`` works through the rows of a call in groups of
+    four and gives a row in a whole group the same bits wherever it sits;
+    only the last ``rows % 4`` rows come out differently (tests/test_gp.py
+    checks the result for every n up to 80). Blocks ``i < b0`` hold only
+    rows ``j <= i < b0 <= n - n % 4``, all in whole groups, and their
+    ``b0 (b0 + 1) / 2`` pairs fill whole groups, so one product over those
+    pairs gets their bits. The (at most seven) blocks from ``b0`` on are
+    computed whole, as the dense product computes them.
+    """
+    n = xn.shape[0]
+    b0 = 8 * (n // 8)
+    m0 = b0 * (b0 + 1) // 2
+    rows, cols = np.tril_indices(b0)
+    head = xn[rows] - xn[cols]
+    head *= head
+    tail = xn[b0:, None, :] - xn[None, :, :]
+    tail *= tail
+    in_tail = np.arange(n) <= np.arange(b0, n)[:, None]
+
+    def sq_dists(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(head, w, out=out[:m0])
+        out[m0:] = np.matmul(tail, w)[in_tail]
+        return out
+
+    return sq_dists
+
+
+def _neg_lml(xn: np.ndarray, y: np.ndarray, base_noise: float, optimize_noise: bool,
+             isotropic: bool):
+    """Negative log marginal likelihood (GPML Alg. 2.1) as a function of
+    the packed log-parameters, for fixed normalized inputs and targets.
+
+    Only the lower triangle of the kernel matrix is built, into a reused
+    column-major buffer, and factored with LAPACK ``potrf``/``potrs``,
+    which with ``lower=1`` never read the upper triangle. The value is bit
+    for bit the one of the dense route (full kernel matrix, ``cholesky``,
+    ``cho_solve``), so hyperparameter searches take the same path.
+    """
+    n, dim = xn.shape
+    sq_dists = _tril_sq_dists(xn)
+    rows, cols = np.tril_indices(n)
+    lower = cols * n + rows  # column-major offsets of the pairs
+    diag = np.arange(n) * (n + 1)
+    r2 = np.empty(rows.size)
+    work = (np.empty(rows.size), np.empty(rows.size))
+    flat = np.zeros(n * n)
+    K = flat.reshape((n, n), order="F")
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (K,))
+    vals = np.empty(1 + (1 if isotropic else dim) + int(optimize_noise))
+    lo, hi = math.log(PARAM_LO), math.log(PARAM_HI)
+    log_norm = 0.5 * n * _LOG2PI
+
+    def neg_lml(theta: np.ndarray) -> float:
+        np.exp(np.clip(theta, lo, hi, out=vals), out=vals)
+        ls = np.full(dim, vals[1]) if isotropic else vals[1 : 1 + dim]
+        _matern52_from_r2(sq_dists(1.0 / ls**2, r2), float(vals[0]), work)
+        noise = float(vals[-1]) if optimize_noise else base_noise
+        flat[lower] = r2
+        flat[diag] += noise
+        L, info = potrf(K, lower=1, overwrite_a=1, clean=0)
+        if info > 0:  # rebuild the overwritten matrix and escalate jitter
+            flat[lower] = r2
+            flat[diag] += noise
+            try:
+                L, _ = _chol_with_jitter(K)
+            except IllConditionedKernelError:
+                return np.inf
+        alpha, _ = potrs(L, y, lower=1)
+        lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - log_norm
+        return -lml
+
+    return neg_lml
+
+
 def fit(
     data: Dataset,
     init: KernelParams | None = None,
@@ -268,27 +366,7 @@ def fit(
         raise ValueError("budget must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    # Pairwise squared differences, reused by every likelihood evaluation.
-    diff = xn[:, None, :] - xn[None, :, :]
-    diff2 = diff * diff
-    eye = np.eye(n)
-
-    def neg_lml(theta: np.ndarray) -> float:
-        p = _unpack(theta, dim, init, optimize_noise, isotropic)
-        r2 = diff2 @ (1.0 / p.lengthscales**2)
-        r = np.sqrt(np.maximum(r2, 0.0))
-        a5 = _SQRT5 * r
-        K = p.signal_variance * (1.0 + a5 + a5 * a5 / 3.0) * np.exp(-a5)
-        K[np.diag_indices_from(K)] += p.noise_variance
-        try:
-            L, _ = _chol_with_jitter(K)
-        except IllConditionedKernelError:
-            return np.inf
-        alpha = cho_solve((L, True), y, check_finite=False)
-        lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) \
-            - 0.5 * n * _LOG2PI
-        return -lml
-
+    neg_lml = _neg_lml(xn, y, init.noise_variance, optimize_noise, isotropic)
     theta0 = _pack(init, optimize_noise, isotropic)
     n_par = theta0.size
     lo, hi = math.log(PARAM_LO), math.log(PARAM_HI)

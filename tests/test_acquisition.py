@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from hypbo import (
@@ -75,6 +76,27 @@ def test_ei_monte_carlo_cross_check():
         z = rng.normal(mean, std, size=200_000)
         mc = float(np.mean(np.maximum(z - inc, 0.0)))
         assert expected_improvement(mean, std, inc) == pytest.approx(mc, abs=5e-3)
+
+
+def test_ei_bit_identical_to_scipy_norm():
+    # z = 0 (both signs), the tails past |z| = 8, and everything between
+    z = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, -0.0, 8.5, -8.5, 1e-300]])
+    assert np.array_equal(ndtr(z), norm.cdf(z))
+    assert np.array_equal(np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi), norm.pdf(z))
+    # through expected_improvement, std == 0 branch included
+    for std in (0.0, 1e-3, 1.0, 7.5):
+        for inc, jit in ((0.0, 0.0), (-1.3, 0.01)):
+            mean = inc + z * max(std, 1.0)
+            s = np.full_like(z, std)
+            delta = mean - inc - jit
+            zz = delta / std if std > 0 else np.zeros_like(z)
+            want = (
+                delta * norm.cdf(zz) + std * norm.pdf(zz)
+                if std > 0
+                else np.maximum(delta, 0.0)
+            )
+            got = expected_improvement(mean, s, inc, jit)
+            assert np.array_equal(got, np.maximum(want, 0.0))
 
 
 def test_ei_rejects_negative_std():

@@ -132,6 +132,23 @@ def test_report_roundtrip(tmp_path, capsys):
     assert before == after
 
 
+@pytest.mark.parametrize("edit", ["drop", "string"])
+def test_report_bad_optimum_value_is_config_error(tmp_path, capsys, edit):
+    out = tmp_path / "rep"
+    main([
+        "bench", "--objective", "sphere:1", "--methods", "random_search",
+        "--trials", "1", "--iters", "2", "--out", str(out),
+    ])
+    meta = json.loads((out / "summary.json").read_text())
+    if edit == "drop":
+        del meta["optimum_value"]
+    else:
+        meta["optimum_value"] = "high"
+    (out / "summary.json").write_text(json.dumps(meta))
+    assert main(["report", str(out)]) == EXIT_CONFIG
+    assert "optimum_value" in capsys.readouterr().err
+
+
 def test_report_empty_dir_is_config_error(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == EXIT_CONFIG
 

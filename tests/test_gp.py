@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from hypbo import Dataset, KernelParams, SearchSpace, fit, matern52
+from hypbo import gp
 from hypbo.gp import GPModel, IllConditionedKernelError, _chol_with_jitter
 
 SQRT5 = math.sqrt(5.0)
@@ -274,3 +277,117 @@ def test_short_init_recovers_via_reference_start():
     q = rng.uniform(0.0, 1.0, size=(50, 2))
     resid = tuned.predict(q)[0] - (np.sin(3.0 * q[:, 0]) + q[:, 1])
     assert float(np.sqrt(np.mean(resid**2))) < 0.1
+
+
+# -- the likelihood fast path against the dense route -----------------
+
+
+def dense_neg_lml(xn, y, theta, base_noise, optimize_noise, isotropic):
+    """Negative LML the dense way: squared differences of all n*n pairs,
+    one matmul, the full kernel matrix, scipy's cholesky and cho_solve.
+    Returns the value and the jitter the factorization needed (None when
+    it gave up)."""
+    n, d = xn.shape
+    vals = np.exp(np.clip(theta, math.log(gp.PARAM_LO), math.log(gp.PARAM_HI)))
+    ls = np.full(d, vals[1]) if isotropic else vals[1 : 1 + d]
+    noise = vals[-1] if optimize_noise else base_noise
+    diff = xn[:, None, :] - xn[None, :, :]
+    r2 = (diff * diff) @ (1.0 / ls**2)
+    a5 = SQRT5 * np.sqrt(np.maximum(r2, 0.0))
+    K = vals[0] * (1.0 + a5 + a5 * a5 / 3.0) * np.exp(-a5)
+    K[np.diag_indices_from(K)] += noise
+    try:
+        L, jitter = _chol_with_jitter(K)
+    except IllConditionedKernelError:
+        return math.inf, None
+    alpha = cho_solve((L, True), y, check_finite=False)
+    lml = (
+        -0.5 * float(y @ alpha)
+        - float(np.sum(np.log(np.diag(L))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    return -lml, jitter
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_tril_sq_dists_bit_identical_to_dense_product(d):
+    # an ulp off here seldom shows in the likelihood's value but can still
+    # steer a Nelder-Mead search elsewhere, so check this stage on its own,
+    # for every n: which rows go astray depends on n mod 8 and on d
+    rng = np.random.default_rng(d)
+    for n in range(1, 81):
+        xn = rng.uniform(size=(n, d))
+        diff = xn[:, None, :] - xn[None, :, :]
+        for ls in (rng.uniform(0.05, 5.0, size=d), np.full(d, rng.uniform(0.05, 5.0))):
+            w = 1.0 / ls**2
+            want = ((diff * diff) @ w)[np.tril_indices(n)]
+            got = gp._tril_sq_dists(xn)(w, np.empty(want.size))
+            assert got.tobytes() == want.tobytes(), (n, d)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(1, 80),
+    d=st.integers(1, 10),
+    isotropic=st.booleans(),
+    optimize_noise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_likelihood_is_bit_identical_to_dense(n, d, isotropic, optimize_noise, seed):
+    rng = np.random.default_rng(seed)
+    xn = rng.uniform(size=(n, d))
+    y = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+    n_par = 1 + (1 if isotropic else d) + int(optimize_noise)
+    fast = gp._neg_lml(xn, y, 1e-6, optimize_noise, isotropic)
+    # draws reach past the parameter box on both sides, so clipping,
+    # near-singular kernels and the jitter path all come up
+    for theta in rng.uniform(math.log(1e-5), math.log(1e5), size=(4, n_par)):
+        want, _ = dense_neg_lml(xn, y, theta, 1e-6, optimize_noise, isotropic)
+        assert fast(theta).hex() == want.hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 40])
+def test_fast_likelihood_duplicate_rows_take_the_jitter_path(n):
+    rng = np.random.default_rng(n)
+    xn = rng.uniform(size=(n, 3))
+    xn[1] = xn[0]
+    y = rng.normal(size=n)
+    theta = np.zeros(4)  # unit signal variance: row 1 leaves a zero pivot
+    want, jitter = dense_neg_lml(xn, y, theta, 0.0, False, False)
+    assert jitter > 0.0
+    assert gp._neg_lml(xn, y, 0.0, False, False)(theta).hex() == want.hex()
+
+
+def test_fast_likelihood_is_inf_when_jitter_cannot_rescue(monkeypatch):
+    monkeypatch.setattr(gp, "JITTER_MAX", 0.0)  # no escalation step left
+    rng = np.random.default_rng(1)
+    xn = rng.uniform(size=(10, 3))
+    xn[1] = xn[0]
+    y = rng.normal(size=10)
+    theta = np.zeros(4)
+    assert dense_neg_lml(xn, y, theta, 0.0, False, False)[0] == math.inf
+    assert gp._neg_lml(xn, y, 0.0, False, False)(theta) == math.inf
+
+
+@pytest.mark.parametrize("isotropic", [False, True])
+def test_fit_params_unchanged_by_fast_likelihood(monkeypatch, isotropic):
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.0, 1.0, size=(30, 4))
+    d = Dataset.from_arrays(x, np.sin(4.0 * x[:, 0]) + x[:, 1] * x[:, 2])
+
+    def tuned():
+        return fit(d, init=KernelParams(0.5, np.full(4, 0.3), 1e-3), budget=3,
+                   rng=np.random.default_rng(3), optimize_noise=True,
+                   isotropic=isotropic, max_evals=60).params
+
+    fast = tuned()
+    monkeypatch.setattr(
+        gp, "_neg_lml",
+        lambda xn, y, base, on, iso: (
+            lambda theta: dense_neg_lml(xn, y, theta, base, on, iso)[0]
+        ),
+    )
+    dense = tuned()
+    assert fast.signal_variance.hex() == dense.signal_variance.hex()
+    assert [v.hex() for v in fast.lengthscales] == [v.hex() for v in dense.lengthscales]
+    assert fast.noise_variance.hex() == dense.noise_variance.hex()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hypbo import EngineConfig, get_objective, read_traces_csv
+from hypbo import EngineConfig, ObjectiveError, get_objective, read_traces_csv
 from hypbo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -49,6 +49,29 @@ def test_cumulative_regret_values():
     np.testing.assert_allclose(
         cumulative_regret(toy_trace(), 1.0, include_init=True), [0.8, 1.3, 1.5, 1.8]
     )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_random_search_rejects_non_finite_objective(bad):
+    spec = get_objective("sphere:2")
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return bad if len(calls) == 3 else spec(x)
+
+    with pytest.raises(ObjectiveError, match="non-finite") as info:
+        random_search_trace(objective, spec.space, 2, 4, seed=1)
+    np.testing.assert_array_equal(info.value.x, calls[-1])
+
+
+def test_random_search_surfaces_objective_exception():
+    def objective(x):
+        raise ZeroDivisionError("boom")
+
+    spec = get_objective("sphere:2")
+    with pytest.raises(ObjectiveError, match="boom"):
+        random_search_trace(objective, spec.space, 2, 4, seed=1)
 
 
 def test_random_search_trace_shape_and_reconstruction():
