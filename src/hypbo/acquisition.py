@@ -17,21 +17,18 @@ _PROBE = 1.0 - _SHRINK  # probe offset as a fraction of the current width
 
 @dataclass
 class AcquisitionSpec:
-    """Acquisition choice plus maximizer budget.
+    """Expected-improvement jitter plus maximizer budget.
 
     ``multistarts`` feasible uniform draws seed the search; the top three
     are polished by ``refine_steps`` rounds of coordinate-wise probing
     with geometrically shrinking step sizes.
     """
 
-    kind: str = "expected_improvement"
     jitter: float = 0.0
     multistarts: int = 32
     refine_steps: int = 64
 
     def __post_init__(self):
-        if self.kind != "expected_improvement":
-            raise ValueError(f"unknown acquisition kind {self.kind!r}")
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
         if self.multistarts < 1 or self.refine_steps < 0:

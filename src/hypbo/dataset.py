@@ -8,29 +8,34 @@ import numpy as np
 
 
 class Dataset:
-    """Append-only list of evaluated points with the best value seen so far.
+    """Append-only (n, d) inputs ``x`` and (n,) values ``y`` with the best
+    value seen so far.
 
     ``y_max`` and ``argmax_index`` always refer to the first maximizing
-    entry. Points are stored in insertion order.
+    entry. Rows are stored in insertion order; an empty dataset has ``x``
+    of shape (0, 0).
     """
 
     def __init__(self):
-        self._x: list[np.ndarray] = []
-        self._y: list[float] = []
+        self.x = np.empty((0, 0))
+        self.y = np.empty(0)
         self.y_max: float = -math.inf
         self.argmax_index: int = -1
-        self._x_cache: np.ndarray | None = None
-        self._y_cache: np.ndarray | None = None
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
-        d = cls()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
+        x = np.array(x, dtype=float, ndmin=2, order="C")
+        y = np.array(y, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y row counts differ")
-        for xi, yi in zip(x, y):
-            d.append(xi, yi)
+        bad = y[~np.isfinite(y)]
+        if bad.size:
+            raise ValueError(f"non-finite observation value {float(bad[0])!r}")
+        d = cls()
+        if y.size:
+            d.x, d.y = x, y
+            d.argmax_index = int(np.argmax(y))
+            d.y_max = float(y[d.argmax_index])
         return d
 
     def append(self, x, y: float) -> None:
@@ -38,49 +43,22 @@ class Dataset:
         y = float(y)
         if not math.isfinite(y):
             raise ValueError(f"non-finite observation value {y!r}")
-        self._x.append(x)
-        self._y.append(y)
+        self.x = np.vstack([self.x, x]) if len(self) else x[None, :].copy()
+        self.y = np.append(self.y, y)
         if y > self.y_max:
             self.y_max = y
-            self.argmax_index = len(self._y) - 1
-        self._x_cache = None
-        self._y_cache = None
+            self.argmax_index = len(self) - 1
 
     def __len__(self) -> int:
-        return len(self._y)
-
-    def __iter__(self):
-        return iter(zip(self._x, self._y))
-
-    @property
-    def points(self) -> list[tuple[np.ndarray, float]]:
-        return list(zip(self._x, self._y))
-
-    @property
-    def x(self) -> np.ndarray:
-        """All inputs as an (n, d) array."""
-        if self._x_cache is None:
-            if not self._x:
-                self._x_cache = np.empty((0, 0))
-            else:
-                self._x_cache = np.vstack(self._x)
-        return self._x_cache
-
-    @property
-    def y(self) -> np.ndarray:
-        if self._y_cache is None:
-            self._y_cache = np.asarray(self._y, dtype=float)
-        return self._y_cache
+        return self.y.size
 
     @property
     def best_x(self) -> np.ndarray:
         if self.argmax_index < 0:
             raise ValueError("dataset is empty")
-        return self._x[self.argmax_index]
+        return self.x[self.argmax_index]
 
     def subset(self, indices) -> "Dataset":
         """New dataset with the selected rows, original order preserved."""
-        out = Dataset()
-        for i in indices:
-            out.append(self._x[i], self._y[i])
-        return out
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset.from_arrays(self.x[idx], self.y[idx])

@@ -52,8 +52,8 @@ class GPConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
 
 
 @dataclass
@@ -75,8 +75,8 @@ class EngineConfig:
             raise ValueError("n_init must be at least 1")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be nonnegative and finite")
         if min(self.top_seeds, self.l_max, self.u_max) < 1:
             raise ValueError("top_seeds, l_max and u_max must be at least 1")
         if self.gp_optimize_every < 1:
@@ -92,8 +92,8 @@ def improved(y_max: float, y_new: float, gamma: float) -> bool:
     negative one it is ``(1 - gamma) * y_max`` (closer to zero). With
     ``gamma == 0`` both reduce to strict improvement.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     if y_max >= 0:
         return y_new > (1.0 + gamma) * y_max
     return y_new > (1.0 - gamma) * y_max
@@ -140,6 +140,10 @@ class GPCache:
         cfg: GPConfig,
         rng: np.random.Generator,
     ) -> GPModel:
+        """Surrogate for ``data``; with no data, the unit-hyperparameter
+        prior, which does not count as a fit of ``key``."""
+        if len(data) == 0:
+            return GPModel.prior(KernelParams.default(space.dim, cfg.noise_variance), space)
         count = self.calls.get(key, 0)
         self.calls[key] = count + 1
         init = self.params.get(key)
@@ -160,31 +164,6 @@ class GPCache:
         if do_opt:
             self.params[key] = model.params.copy()
         return model
-
-
-def _fit_or_prior(
-    key: str,
-    data: Dataset,
-    space: SearchSpace,
-    cfg: GPConfig,
-    rng: np.random.Generator,
-    cache: GPCache | None,
-) -> GPModel:
-    if len(data) == 0:
-        return GPModel.prior(KernelParams.default(space.dim, cfg.noise_variance), space)
-    if cache is None:
-        return gp_fit(
-            data,
-            init=KernelParams.default(space.dim, cfg.noise_variance),
-            space=space,
-            optimize=cfg.optimize,
-            budget=cfg.restarts,
-            rng=rng,
-            optimize_noise=cfg.optimize_noise,
-            isotropic=cfg.isotropic,
-            max_evals=cfg.max_evals,
-        )
-    return cache.fit(key, data, space, cfg, rng)
 
 
 def lower_step(
@@ -209,10 +188,11 @@ def lower_step(
     if not hypotheses:
         raise ValueError("lower_step needs at least one hypothesis")
     gp = gp or GPConfig()
+    cache = cache or GPCache()
     proposals: list[Seed] = []
     for j, h in enumerate(hypotheses):
         local = h.filter_dataset(data)
-        model = _fit_or_prior(f"local_{j}", local, space, gp, rng, cache)
+        model = cache.fit(f"local_{j}", local, space, gp, rng)
         if incumbent == "local" and len(local):
             ref = local.y_max
         elif len(data):
@@ -236,7 +216,7 @@ def upper_step(
 ) -> tuple[np.ndarray, float]:
     """Global surrogate fit plus one EI maximization over the whole box."""
     gp = gp or GPConfig()
-    model = _fit_or_prior("global", data, space, gp, rng, cache)
+    model = (cache or GPCache()).fit("global", data, space, gp, rng)
     ref = data.y_max if len(data) else 0.0
     return acq.maximize(model, space, ref, spec, rng)
 

@@ -47,16 +47,15 @@ class KernelParams:
     signal_variance: float
     lengthscales: np.ndarray
     noise_variance: float = 0.0
-    smoothness = 2.5  # class-level: not tunable
 
     def __post_init__(self):
         self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
-        if self.signal_variance <= 0:
-            raise ValueError("signal variance must be positive")
-        if np.any(self.lengthscales <= 0):
-            raise ValueError("lengthscales must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 < self.signal_variance < math.inf:
+            raise ValueError("signal variance must be positive and finite")
+        if not np.all((self.lengthscales > 0) & (self.lengthscales < math.inf)):
+            raise ValueError("lengthscales must be positive and finite")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
 
     @classmethod
     def default(cls, dim: int, noise_variance: float = 0.0) -> "KernelParams":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -55,6 +56,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
         if self.band not in BANDS:
             raise ConfigError(f"band must be one of {BANDS}")
+        if self.standin_rows < 10:
+            raise ConfigError("standin_rows must be at least 10")
+        if not 0 <= self.standin_noise_sd < math.inf:
+            raise ConfigError("standin_noise_sd must be finite and nonnegative")
 
 
 @dataclass

@@ -168,10 +168,10 @@ class Hypothesis:
 
     # -- membership ----------------------------------------------------
 
-    def contains(self, x, eq_tol: float | None = None) -> bool:
-        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :], eq_tol)[0])
+    def contains(self, x) -> bool:
+        return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def contains_many(self, x, eq_tol: float | None = None) -> np.ndarray:
+    def contains_many(self, x) -> np.ndarray:
         """Vectorized membership test; x has shape (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         ok = self.space.contains_many(x)
@@ -180,11 +180,8 @@ class Hypothesis:
             resid = x @ self.ineq_lhs.T - self.ineq_rhs
             ok &= np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(self.ineq_rhs)), axis=1)
         if self.eq_lhs.shape[0]:
-            slab = self._eq_slab if eq_tol is None else float(eq_tol) * np.maximum(
-                np.linalg.norm(self.eq_lhs, axis=1), 1.0
-            )
             resid = np.abs(x @ self.eq_lhs.T - self.eq_rhs)
-            ok &= np.all(resid <= slab, axis=1)
+            ok &= np.all(resid <= self._eq_slab, axis=1)
         return ok
 
     # -- geometry ------------------------------------------------------
@@ -258,11 +255,11 @@ class Hypothesis:
 
     # -- data ----------------------------------------------------------
 
-    def filter_dataset(self, data: Dataset, eq_tol: float | None = None) -> Dataset:
+    def filter_dataset(self, data: Dataset) -> Dataset:
         """Rows of ``data`` inside the region, original order kept."""
         if len(data) == 0:
             return Dataset()
-        keep = np.flatnonzero(self.contains_many(data.x, eq_tol))
+        keep = np.flatnonzero(self.contains_many(data.x))
         return data.subset(keep)
 
     def __repr__(self) -> str:

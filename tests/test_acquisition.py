@@ -20,8 +20,6 @@ from hypbo.gp import GPModel
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        AcquisitionSpec(kind="ucb")
-    with pytest.raises(ValueError):
         AcquisitionSpec(jitter=-0.1)
     with pytest.raises(ValueError):
         AcquisitionSpec(multistarts=0)

@@ -57,6 +57,48 @@ def test_run_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_run_non_finite_gamma_is_config_error(tmp_path, capsys, gamma):
+    out = tmp_path / "never"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[objective]\nkey = sphere:2\n\n[hypotheses]\nkeys = good\n\n"
+        f"[engine]\ngamma = {gamma}\n\n[output]\ndir = {out}\n"
+    )
+    assert main(["run", str(ini)]) == EXIT_CONFIG
+    assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("standin_rows", "5", "standin_rows"),
+        ("standin_noise_sd", "-1", "standin_noise_sd"),
+        ("standin_noise_sd", "nan", "standin_noise_sd"),
+        ("standin_noise_sd", "inf", "standin_noise_sd"),
+    ],
+)
+def test_run_bad_standin_is_config_error(tmp_path, capsys, option, value, message):
+    out = tmp_path / "never"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        f"[objective]\nkey = standin\n{option} = {value}\n\n"
+        f"[hypotheses]\nkeys = what_they_knew\n\n[output]\ndir = {out}\n"
+    )
+    assert main(["run", str(ini)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_her_too_few_standin_rows_is_config_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    rc = main(["her", "--standin", "5", "--trials", "1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "standin_rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_unknown_objective_is_config_error(tmp_path, capsys):
     rc = main([
         "bench", "--objective", "mystery:4", "--trials", "1",

@@ -65,6 +65,14 @@ def test_improved_rejects_negative_gamma():
         improved(1.0, 2.0, -0.1)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_gamma_rejects_non_finite(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        improved(1.0, 2.0, gamma)
+    with pytest.raises(ValueError, match="finite"):
+        EngineConfig(gamma=gamma)
+
+
 # -- initial design --------------------------------------------------
 
 def design_counts(n, hyps, space):
@@ -217,6 +225,43 @@ def test_gp_cache_reoptimizes_on_schedule(sphere1):
     assert cache.calls["k"] == 2
 
 
+def test_gp_cache_empty_data_gives_prior_without_counting(sphere2):
+    cache = GPCache(every=2)
+    cfg = GPConfig(noise_variance=1e-4)
+    model = cache.fit("k", Dataset(), sphere2.space, cfg, np.random.default_rng(0))
+    assert model.n == 0
+    assert model.params.signal_variance == 1.0
+    np.testing.assert_array_equal(model.params.lengthscales, np.ones(2))
+    assert model.params.noise_variance == 1e-4
+    assert model.space is sphere2.space
+    assert cache.calls == {} and cache.params == {}
+
+
+def _proposal_bits(seeds):
+    return [(s.hypothesis, s.x.tobytes(), s.acq_value) for s in seeds]
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_steps_without_cache_equal_fresh_cache(sphere2, n):
+    x = sphere2.space.sample(np.random.default_rng(3), n)
+    d = Dataset.from_arrays(x, [sphere2(v) for v in x]) if n else Dataset()
+    hyps = [
+        make_quality_hypothesis(sphere2, "good"),
+        make_quality_hypothesis(sphere2, "poor"),
+    ]
+    spec = AcquisitionSpec(multistarts=8, refine_steps=16)
+    low = [
+        lower_step(d, hyps, sphere2.space, spec, np.random.default_rng(4), top_seeds=2, **kw)
+        for kw in ({}, {"cache": GPCache()})
+    ]
+    assert _proposal_bits(low[0]) == _proposal_bits(low[1])
+    up = [
+        upper_step(d, sphere2.space, spec, np.random.default_rng(5), **kw)
+        for kw in ({}, {"cache": GPCache()})
+    ]
+    assert up[0][0].tobytes() == up[1][0].tobytes() and up[0][1] == up[1][1]
+
+
 # -- engine config ---------------------------------------------------
 
 def test_engine_config_validation():
@@ -232,6 +277,9 @@ def test_engine_config_validation():
         EngineConfig(lower_incumbent="other")
     with pytest.raises(ValueError):
         GPConfig(restarts=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GPConfig(noise_variance=bad)
 
 
 # -- full runs -------------------------------------------------------

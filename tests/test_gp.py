@@ -51,7 +51,15 @@ def test_kernel_params_validation():
     p = KernelParams.default(3, 1e-6)
     assert p.signal_variance == 1.0
     assert p.lengthscales.shape == (3,)
-    assert p.smoothness == 2.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["signal_variance", "lengthscales", "noise_variance"])
+def test_kernel_params_reject_non_finite(field, bad):
+    kw = {"signal_variance": 1.0, "lengthscales": [1.0, 1.0], "noise_variance": 1e-6}
+    kw[field] = [1.0, bad] if field == "lengthscales" else bad
+    with pytest.raises(ValueError, match="finite"):
+        KernelParams(**kw)
 
 
 def test_matern_at_zero_distance():

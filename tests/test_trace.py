@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypbo.dataset import Dataset
+from hypbo.space import Hypothesis, SearchSpace
 from hypbo.trace import (
     SOURCE_INIT_GLOBAL,
     SOURCE_LOWER,
@@ -144,3 +148,67 @@ def test_dataset_rejects_non_finite():
         d.append([0.0], np.nan)
     with pytest.raises(ValueError):
         d.append([0.0], np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset.from_arrays([[0.0], [1.0]], [1.0, np.nan])
+
+
+def test_dataset_from_arrays_empty_and_mismatch():
+    d = Dataset.from_arrays(np.empty((0, 3)), [])
+    assert len(d) == 0 and d.x.shape == (0, 0) and d.argmax_index == -1
+    with pytest.raises(ValueError, match="row counts"):
+        Dataset.from_arrays([[0.0], [1.0]], [1.0])
+
+
+def _same(a: Dataset, b: Dataset) -> None:
+    assert a.x.shape == b.x.shape and a.x.tobytes() == b.x.tobytes()
+    assert a.y.tobytes() == b.y.tobytes()
+    assert a.y_max == b.y_max and a.argmax_index == b.argmax_index
+
+
+_SPACE = SearchSpace([-5.0, -5.0], [5.0, 5.0])
+_REGIONS = (
+    Hypothesis("diagonal", _SPACE, ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0]),
+    Hypothesis("pinned", _SPACE, eq_lhs=[[1.0, 0.0]], eq_rhs=[0.5],
+               ineq_lhs=[[0.0, -1.0]], ineq_rhs=[0.0]),
+)
+# coordinates on and off the region boundaries, some outside the box;
+# few distinct values so that ties in y are common
+_coord = st.one_of(st.sampled_from([-6.0, -5.0, 0.0, 0.5, 1.0, 5.0]), st.floats(-6.0, 6.0))
+_rows = st.lists(
+    st.tuples(st.tuples(_coord, _coord), st.integers(-3, 3).map(float)), max_size=24
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows, picks=st.lists(st.integers(0, 23), max_size=12))
+def test_dataset_matches_list_reference(rows, picks):
+    xs = [list(x) for x, _ in rows]
+    ys = [y for _, y in rows]
+    d = Dataset()
+    for x, y in rows:
+        d.append(x, y)
+    assert len(d) == len(rows)
+    np.testing.assert_array_equal(d.y, ys)
+    if rows:
+        best = ys.index(max(ys))  # the first maximizer
+        assert d.x.tobytes() == np.array(xs).tobytes() and d.x.shape == (len(xs), 2)
+        assert d.argmax_index == best and d.y_max == ys[best]
+        assert d.best_x.tolist() == xs[best]
+    else:
+        assert d.x.shape == (0, 0) and d.argmax_index == -1 and d.y_max == -math.inf
+        with pytest.raises(ValueError):
+            d.best_x
+    _same(Dataset.from_arrays(np.array(xs).reshape(len(xs), 2), ys), d)
+
+    idx = [i for i in picks if i < len(rows)]
+    ref = Dataset()
+    for i in idx:
+        ref.append(xs[i], ys[i])
+    _same(d.subset(idx), ref)
+
+    for h in _REGIONS:
+        ref = Dataset()
+        for x, y in rows:
+            if h.contains(x):
+                ref.append(x, y)
+        _same(h.filter_dataset(d), ref)
