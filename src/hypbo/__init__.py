@@ -4,7 +4,6 @@ from .acquisition import AcquisitionSpec, expected_improvement, maximize
 from .dataset import Dataset
 from .engine import (
     EngineConfig,
-    GPConfig,
     ObjectiveError,
     improved,
     initial_design,
@@ -45,7 +44,6 @@ __all__ = [
     "EngineConfig",
     "ExperimentConfig",
     "FeasibilityBudgetError",
-    "GPConfig",
     "GPModel",
     "Hypothesis",
     "InfeasibleHypothesisError",

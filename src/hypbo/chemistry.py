@@ -357,7 +357,7 @@ class _LiquidBudgetHypothesis(Hypothesis):
     Instead: exponential spacings give exact uniform draws from the
     corner simplex {liquids >= 0, sum <= limit}; a thinning step handles
     budgets wide enough for the per-component 5 mL ceilings to bind.
-    Feasibility needs no probing — zero liquids always satisfies the cap.
+    Construction-time certification runs this sampler too.
     """
 
     def __init__(self, limit: float):
@@ -371,7 +371,6 @@ class _LiquidBudgetHypothesis(Hypothesis):
             component_space(),
             ineq_lhs=[row],
             ineq_rhs=[limit],
-            certify=False,
         )
 
     def sample_uniform(

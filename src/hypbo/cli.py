@@ -79,6 +79,13 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _engine_config(**kw) -> EngineConfig:
+    try:
+        return EngineConfig(**kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     cfg = ExperimentConfig(
@@ -86,7 +93,7 @@ def _cmd_bench(args) -> int:
         hypotheses=list(args.hypothesis),
         methods=methods,
         trials=args.trials,
-        engine=EngineConfig(n_init=args.n_init, i_max=args.iters, seed=args.seed),
+        engine=_engine_config(n_init=args.n_init, i_max=args.iters, seed=args.seed),
         output_dir=args.out,
     )
     summary = run_experiment(cfg)
@@ -103,7 +110,7 @@ def _cmd_her(args) -> int:
         hypotheses=[args.hypotheses],
         methods=("hypbo", "vanilla_bo", "random_search"),
         trials=args.trials,
-        engine=EngineConfig(n_init=5, i_max=args.iters, seed=args.seed),
+        engine=_engine_config(n_init=5, i_max=args.iters, seed=args.seed),
         output_dir=args.out,
         standin_rows=args.standin if args.standin is not None else 200,
     )

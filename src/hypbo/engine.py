@@ -11,7 +11,7 @@ non-improving upper iterations hand it back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,24 +39,6 @@ class ObjectiveError(RuntimeError):
 
 
 @dataclass
-class GPConfig:
-    """Surrogate settings used inside the loop (not the standalone fit)."""
-
-    optimize: bool = True
-    restarts: int = 2  # hyperparameter searches per (re)fit
-    max_evals: int | None = 80  # likelihood-evaluation cap per search
-    noise_variance: float = 1e-6
-    optimize_noise: bool = False
-    isotropic: bool = False
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if not 0 <= self.noise_variance < math.inf:
-            raise ValueError("noise variance must be nonnegative and finite")
-
-
-@dataclass
 class EngineConfig:
     n_init: int = 5
     i_max: int = 100
@@ -65,9 +47,7 @@ class EngineConfig:
     l_max: int = 2  # non-improving lower batches before switching up
     u_max: int = 5  # non-improving upper iterations before switching down
     seed: int = 0
-    acquisition: acq.AcquisitionSpec = field(default_factory=acq.AcquisitionSpec)
     gp_optimize_every: int = 1  # refit cadence; reuse hyperparameters between
-    gp: GPConfig = field(default_factory=GPConfig)
     lower_incumbent: str = "global"  # or "local": per-region reference for EI
 
     def __post_init__(self):
@@ -75,6 +55,8 @@ class EngineConfig:
             raise ValueError("n_init must be at least 1")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be nonnegative and finite")
         if min(self.top_seeds, self.l_max, self.u_max) < 1:
@@ -123,6 +105,12 @@ class Seed(NamedTuple):
     acq_value: float
 
 
+# Surrogate settings of the loop's fits (the standalone ``gp.fit`` has its own).
+GP_RESTARTS = 2  # hyperparameter searches per (re)fit
+GP_MAX_EVALS = 80  # likelihood-evaluation cap per search
+GP_NOISE_VARIANCE = 1e-6
+
+
 class GPCache:
     """Remembers tuned hyperparameters per surrogate and decides when to
     re-optimize them (every ``every``-th fit of that surrogate)."""
@@ -137,29 +125,27 @@ class GPCache:
         key: str,
         data: Dataset,
         space: SearchSpace,
-        cfg: GPConfig,
         rng: np.random.Generator,
     ) -> GPModel:
         """Surrogate for ``data``; with no data, the unit-hyperparameter
         prior, which does not count as a fit of ``key``."""
         if len(data) == 0:
-            return GPModel.prior(KernelParams.default(space.dim, cfg.noise_variance), space)
+            return GPModel.prior(KernelParams.default(space.dim, GP_NOISE_VARIANCE), space)
         count = self.calls.get(key, 0)
         self.calls[key] = count + 1
         init = self.params.get(key)
         if init is None:
-            init = KernelParams.default(space.dim, cfg.noise_variance)
-        do_opt = cfg.optimize and (count % self.every == 0)
+            init = KernelParams.default(space.dim, GP_NOISE_VARIANCE)
+        do_opt = count % self.every == 0
         model = gp_fit(
             data,
             init=init,
             space=space,
             optimize=do_opt,
-            budget=cfg.restarts,
+            budget=GP_RESTARTS,
             rng=rng,
-            optimize_noise=cfg.optimize_noise,
-            isotropic=cfg.isotropic,
-            max_evals=cfg.max_evals,
+            optimize_noise=False,
+            max_evals=GP_MAX_EVALS,
         )
         if do_opt:
             self.params[key] = model.params.copy()
@@ -174,7 +160,6 @@ def lower_step(
     rng: np.random.Generator,
     *,
     top_seeds: int = 1,
-    gp: GPConfig | None = None,
     cache: GPCache | None = None,
     incumbent: str = "global",
 ) -> list[Seed]:
@@ -187,12 +172,11 @@ def lower_step(
     """
     if not hypotheses:
         raise ValueError("lower_step needs at least one hypothesis")
-    gp = gp or GPConfig()
     cache = cache or GPCache()
     proposals: list[Seed] = []
     for j, h in enumerate(hypotheses):
         local = h.filter_dataset(data)
-        model = cache.fit(f"local_{j}", local, space, gp, rng)
+        model = cache.fit(f"local_{j}", local, space, rng)
         if incumbent == "local" and len(local):
             ref = local.y_max
         elif len(data):
@@ -211,12 +195,10 @@ def upper_step(
     spec: acq.AcquisitionSpec,
     rng: np.random.Generator,
     *,
-    gp: GPConfig | None = None,
     cache: GPCache | None = None,
 ) -> tuple[np.ndarray, float]:
     """Global surrogate fit plus one EI maximization over the whole box."""
-    gp = gp or GPConfig()
-    model = (cache or GPCache()).fit("global", data, space, gp, rng)
+    model = (cache or GPCache()).fit("global", data, space, rng)
     ref = data.y_max if len(data) else 0.0
     return acq.maximize(model, space, ref, spec, rng)
 
@@ -251,6 +233,7 @@ def run(
         if h.space.dim != space.dim:
             raise ValueError(f"hypothesis {h.label!r} dimension mismatch")
     rng = np.random.default_rng(config.seed)
+    spec = acq.AcquisitionSpec()
     cache = GPCache(config.gp_optimize_every)
     data = Dataset()
     trace = Trace(space.dim)
@@ -274,10 +257,9 @@ def run(
                     data,
                     hypotheses,
                     space,
-                    config.acquisition,
+                    spec,
                     rng,
                     top_seeds=config.top_seeds,
-                    gp=config.gp,
                     cache=cache,
                     incumbent=config.lower_incumbent,
                 )
@@ -306,9 +288,7 @@ def run(
         u = 0
         while (u < config.u_max or J == 0) and i < config.i_max:
             y_before = data.y_max
-            x, a = upper_step(
-                data, space, config.acquisition, rng, gp=config.gp, cache=cache
-            )
+            x, a = upper_step(data, space, spec, rng, cache=cache)
             y = _evaluate(objective, x)
             data.append(x, y)
             i += 1

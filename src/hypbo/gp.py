@@ -193,29 +193,18 @@ def _finalize(params, space, x_raw, xn, y) -> GPModel:
     return GPModel(params, space, x_raw, y, _xn=xn, _chol=L, _alpha=alpha, jitter=jitter)
 
 
-def _pack(params: KernelParams, optimize_noise: bool, isotropic: bool) -> np.ndarray:
-    ls = params.lengthscales
+def _pack(params: KernelParams, optimize_noise: bool) -> np.ndarray:
     theta = [math.log(params.signal_variance)]
-    if isotropic:
-        theta.append(math.log(float(np.exp(np.mean(np.log(ls))))))
-    else:
-        theta.extend(np.log(ls))
+    theta.extend(np.log(params.lengthscales))
     if optimize_noise:
         theta.append(math.log(max(params.noise_variance, PARAM_LO)))
     return np.asarray(theta)
 
 
-def _unpack(theta, dim, base: KernelParams, optimize_noise, isotropic) -> KernelParams:
+def _unpack(theta, dim, base: KernelParams, optimize_noise) -> KernelParams:
     vals = np.exp(np.clip(theta, math.log(PARAM_LO), math.log(PARAM_HI)))
-    sv = float(vals[0])
-    if isotropic:
-        ls = np.full(dim, vals[1])
-        k = 2
-    else:
-        ls = vals[1 : 1 + dim].copy()
-        k = 1 + dim
-    noise = float(vals[k]) if optimize_noise else base.noise_variance
-    return KernelParams(sv, ls, noise)
+    noise = float(vals[1 + dim]) if optimize_noise else base.noise_variance
+    return KernelParams(float(vals[0]), vals[1 : 1 + dim].copy(), noise)
 
 
 def _tril_sq_dists(xn: np.ndarray):
@@ -251,8 +240,7 @@ def _tril_sq_dists(xn: np.ndarray):
     return sq_dists
 
 
-def _neg_lml(xn: np.ndarray, y: np.ndarray, base_noise: float, optimize_noise: bool,
-             isotropic: bool):
+def _neg_lml(xn: np.ndarray, y: np.ndarray, base_noise: float, optimize_noise: bool):
     """Negative log marginal likelihood (GPML Alg. 2.1) as a function of
     the packed log-parameters, for fixed normalized inputs and targets.
 
@@ -272,13 +260,13 @@ def _neg_lml(xn: np.ndarray, y: np.ndarray, base_noise: float, optimize_noise: b
     flat = np.zeros(n * n)
     K = flat.reshape((n, n), order="F")
     potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (K,))
-    vals = np.empty(1 + (1 if isotropic else dim) + int(optimize_noise))
+    vals = np.empty(1 + dim + int(optimize_noise))
     lo, hi = math.log(PARAM_LO), math.log(PARAM_HI)
     log_norm = 0.5 * n * _LOG2PI
 
     def neg_lml(theta: np.ndarray) -> float:
         np.exp(np.clip(theta, lo, hi, out=vals), out=vals)
-        ls = np.full(dim, vals[1]) if isotropic else vals[1 : 1 + dim]
+        ls = vals[1 : 1 + dim]
         _matern52_from_r2(sq_dists(1.0 / ls**2, r2), float(vals[0]), work)
         noise = float(vals[-1]) if optimize_noise else base_noise
         flat[lower] = r2
@@ -306,7 +294,6 @@ def fit(
     budget: int = 5,
     rng: np.random.Generator | None = None,
     optimize_noise: bool = False,
-    isotropic: bool = False,
     max_evals: int | None = None,
 ) -> GPModel:
     """Fit the GP, optionally tuning hyperparameters.
@@ -329,8 +316,6 @@ def fit(
         init parameters.
     optimize_noise : bool
         Tune a homoscedastic noise variance alongside the rest.
-    isotropic : bool
-        Share one lengthscale across all axes.
     max_evals : int, optional
         Cap on likelihood evaluations per local search.
     """
@@ -365,8 +350,8 @@ def fit(
         raise ValueError("budget must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    neg_lml = _neg_lml(xn, y, init.noise_variance, optimize_noise, isotropic)
-    theta0 = _pack(init, optimize_noise, isotropic)
+    neg_lml = _neg_lml(xn, y, init.noise_variance, optimize_noise)
+    theta0 = _pack(init, optimize_noise)
     n_par = theta0.size
     lo, hi = math.log(PARAM_LO), math.log(PARAM_HI)
     bounds = _opt.Bounds(np.full(n_par, lo), np.full(n_par, hi))
@@ -386,7 +371,7 @@ def fit(
             np.ones(dim),
             max(init.noise_variance, PARAM_LO) if optimize_noise else init.noise_variance,
         )
-        starts.append(_pack(ref, optimize_noise, isotropic))
+        starts.append(_pack(ref, optimize_noise))
     while len(starts) < budget:
         starts.append(rng.uniform(math.log(1e-2), math.log(1e2), size=n_par))
 
@@ -399,5 +384,5 @@ def fit(
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val = res.fun
             best_theta = res.x
-    params = _unpack(best_theta, dim, init, optimize_noise, isotropic)
+    params = _unpack(best_theta, dim, init, optimize_noise)
     return _finalize(params, space, x_raw, xn, y)

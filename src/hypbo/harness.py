@@ -128,7 +128,10 @@ def _resolve_hypotheses(
         if entry.lower().endswith(".json"):
             if not os.path.exists(entry):
                 raise ConfigError(f"hypothesis file not found: {entry}")
-            out.extend(load_hypotheses_file(entry, obj.space))
+            try:
+                out.extend(load_hypotheses_file(entry, obj.space))
+            except ValueError as exc:
+                raise ConfigError(f"hypothesis file {entry}: {exc}") from None
             continue
         for part in entry.split("+"):
             part = part.strip()

@@ -81,7 +81,7 @@ class SearchSpace:
 
     def index_of(self, name: str) -> int:
         if self.names is None:
-            raise KeyError("space has no axis names")
+            raise KeyError(f"unknown axis {name!r}: the space has no axis names")
         try:
             return self.names.index(name)
         except ValueError:
@@ -119,13 +119,13 @@ class Hypothesis:
     Equality rows touching a single coordinate pin that coordinate exactly;
     sampling then never has to hit a measure-zero slice by luck. Remaining
     equality rows are enforced as thin slabs of half-width
-    ``eq_tol * ||row||``. Strict inequalities from the literature are stored
-    non-strict; the boundary has measure zero so optimization behaviour is
-    unchanged.
+    ``DEFAULT_EQ_TOL_SCALE * max(||row||, 1)``. Strict inequalities from
+    the literature are stored non-strict; the boundary has measure zero so
+    optimization behaviour is unchanged.
 
-    Satisfiability inside the box is certified at construction by rejection
-    sampling from the bounding box; an empty region raises
-    :class:`InfeasibleHypothesisError`.
+    Satisfiability is certified at construction by ``sample_uniform`` on a
+    fixed-seed probe generator, a subclass's own sampler included; an empty
+    region raises :class:`InfeasibleHypothesisError`.
     """
 
     def __init__(
@@ -136,8 +136,6 @@ class Hypothesis:
         eq_rhs=None,
         ineq_lhs=None,
         ineq_rhs=None,
-        eq_tol: float = DEFAULT_EQ_TOL_SCALE,
-        certify: bool = True,
     ):
         self.label = str(label)
         self.space = space
@@ -148,23 +146,19 @@ class Hypothesis:
         self.ineq_rhs = _as_rhs(ineq_rhs, self.ineq_lhs.shape[0])
         if self.eq_lhs.shape[0] + self.ineq_lhs.shape[0] == 0:
             raise ValueError("hypothesis needs at least one constraint row")
-        if eq_tol < 0:
-            raise ValueError("eq_tol must be nonnegative")
-        self.eq_tol = float(eq_tol)
         # Absolute slab half-width per equality row.
         norms = np.linalg.norm(self.eq_lhs, axis=1) if self.eq_lhs.size else np.zeros(0)
-        self._eq_slab = self.eq_tol * np.maximum(norms, 1.0)
+        self._eq_slab = DEFAULT_EQ_TOL_SCALE * np.maximum(norms, 1.0)
         self._box: SearchSpace | None = None
         self._box = self.bounding_box()
-        if certify:
-            probe = np.random.default_rng(_CERTIFY_SEED)
-            try:
-                self.sample_uniform(probe, max_attempts=CERTIFY_ATTEMPTS)
-            except FeasibilityBudgetError:
-                raise InfeasibleHypothesisError(
-                    f"hypothesis {self.label!r}: no feasible point found in "
-                    f"{CERTIFY_ATTEMPTS} draws from its bounding box"
-                ) from None
+        probe = np.random.default_rng(_CERTIFY_SEED)
+        try:
+            self.sample_uniform(probe, max_attempts=CERTIFY_ATTEMPTS)
+        except FeasibilityBudgetError:
+            raise InfeasibleHypothesisError(
+                f"hypothesis {self.label!r}: no feasible point found in "
+                f"{CERTIFY_ATTEMPTS} draws from its bounding box"
+            ) from None
 
     # -- membership ----------------------------------------------------
 
@@ -293,7 +287,7 @@ def _as_rhs(rhs, rows: int) -> np.ndarray:
     return out
 
 
-def box_hypothesis(label: str, space: SearchSpace, lower, upper, **kw) -> Hypothesis:
+def box_hypothesis(label: str, space: SearchSpace, lower, upper) -> Hypothesis:
     """Sub-box hypothesis expressed as 2d single-coordinate inequality rows."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -309,22 +303,25 @@ def box_hypothesis(label: str, space: SearchSpace, lower, upper, **kw) -> Hypoth
         rhs.append(upper[k])
         rows.append(-e)
         rhs.append(-lower[k])
-    return Hypothesis(label, space, ineq_lhs=rows, ineq_rhs=rhs, **kw)
+    return Hypothesis(label, space, ineq_lhs=rows, ineq_rhs=rhs)
 
 
 class ConstraintSyntaxError(ValueError):
     """A textual constraint row could not be parsed."""
 
 
-def _resolve_terms(terms: dict, space: SearchSpace) -> np.ndarray:
+def _resolve_terms(terms: dict, space: SearchSpace, label: str) -> np.ndarray:
     row = np.zeros(space.dim)
     for key, coeff in terms.items():
         try:
             k = int(key)
         except (TypeError, ValueError):
-            k = space.index_of(str(key))
+            try:
+                k = space.index_of(str(key))
+            except KeyError as exc:
+                raise ConstraintSyntaxError(f"{label}: {exc.args[0]}") from None
         if not 0 <= k < space.dim:
-            raise ConstraintSyntaxError(f"axis {key!r} out of range")
+            raise ConstraintSyntaxError(f"{label}: axis {key!r} out of range")
         row[k] += float(coeff)
     return row
 
@@ -336,13 +333,14 @@ def hypothesis_from_dict(spec: dict, space: SearchSpace) -> Hypothesis:
 
         {"label": "...",
          "constraints": [
-             {"terms": {"x_0": 1.0, "x_1": -2.0}, "op": "<=", "rhs": 3.0},
+             {"terms": {"0": 1.0, "1": -2.0}, "op": "<=", "rhs": 3.0},
              {"terms": {"NaCl": 1.0}, "op": "=", "rhs": 0.0},
              ...
          ]}
 
-    ``op`` is one of ``=``, ``==``, ``<=``, ``<``, ``>=``, ``>``. Strict
-    operators are stored non-strict.
+    An axis is an index or, on a named space (the chemistry components),
+    a name. ``op`` is one of ``=``, ``==``, ``<=``, ``<``, ``>=``, ``>``;
+    strict operators are stored non-strict.
     """
     if not isinstance(spec, dict):
         raise ConstraintSyntaxError("hypothesis description must be an object")
@@ -355,12 +353,12 @@ def hypothesis_from_dict(spec: dict, space: SearchSpace) -> Hypothesis:
     eq_lhs, eq_rhs, ineq_lhs, ineq_rhs = [], [], [], []
     for i, c in enumerate(constraints):
         try:
-            terms = c["terms"]
+            terms = dict(c["terms"])
             op = c["op"]
             rhs = float(c["rhs"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ConstraintSyntaxError(f"{label}: bad constraint #{i}: {exc}") from None
-        row = _resolve_terms(terms, space)
+        row = _resolve_terms(terms, space, label)
         if op in ("=", "=="):
             eq_lhs.append(row)
             eq_rhs.append(rhs)

@@ -47,6 +47,8 @@ from hypbo.trace import (
     SOURCE_UPPER,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(capsys, num, ok, detail, elapsed):
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} — {detail} ({elapsed:.1f}s)"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hypbo import ConstraintSyntaxError, hypothesis_from_dict
 from hypbo.chemistry import (
     COMPONENTS,
     DEFAULT_STEPS,
@@ -254,6 +255,12 @@ def test_all_kinds_construct_and_certify():
         chemistry_hypotheses("optimists")
 
 
+def test_unknown_component_name_is_syntax_error():
+    spec = {"label": "typo", "constraints": [{"terms": {"NaCI": 1.0}, "op": "<=", "rhs": 1.0}]}
+    with pytest.raises(ConstraintSyntaxError, match="typo: unknown axis 'NaCI'"):
+        hypothesis_from_dict(spec, component_space())
+
+
 def test_hindsight_and_bizarro_are_disjoint():
     (ph,) = chemistry_hypotheses("perfect_hindsight")
     (bw,) = chemistry_hypotheses("bizarro_world")
@@ -272,6 +279,18 @@ def test_total_volume_hypothesis():
     assert h.contains(vec(Cys=2.0, NaOH=3.0))
     assert not h.contains(vec(Cys=3.0, NaOH=3.0))
     assert h.contains(vec(P10=5.0, Cys=5.0))  # catalyst mass is not volume
+
+
+@pytest.mark.parametrize("limit", [0.01, 20.0, 45.0])
+def test_total_volume_certifies_with_its_own_sampler(limit):
+    # at 0.01 mL the region is far below 1e-20 of the box: only the
+    # simplex sampler can certify it; 20 mL exercises the thinning step
+    # and 45 mL the whole-box shortcut
+    h = total_volume_hypothesis(limit)
+    rng = np.random.default_rng(0)
+    draws = np.array([h.sample_uniform(rng) for _ in range(200)])
+    assert np.all(h.contains_many(draws))
+    assert np.all(draws[:, 1:].sum(axis=1) <= limit * (1 + 1e-12))
 
 
 # -- stand-in generator ----------------------------------------------

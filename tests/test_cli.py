@@ -99,6 +99,68 @@ def test_her_too_few_standin_rows_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "--objective", "sphere:2", "--iters", "0"], "i_max"),
+        (["bench", "--objective", "sphere:2", "--n-init", "0"], "n_init"),
+        (["bench", "--objective", "sphere:2", "--seed", "-3"], "seed"),
+        (["her", "--standin", "30", "--iters", "0"], "i_max"),
+    ],
+    ids=["bench-iters", "bench-n-init", "bench-seed", "her-iters"],
+)
+def test_bad_engine_flags_are_config_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "never"
+    assert main([*argv, "--trials", "1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_run_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[objective]\nkey = sphere:2\n\n[hypotheses]\nkeys = good\n\n"
+        f"[engine]\nseed = -3\n\n[output]\ndir = {out}\n"
+    )
+    assert main(["run", str(ini)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+    assert not out.exists()
+
+
+_C = '"op": "<=", "rhs": 1.0'
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"label": "h", "constraints": [{"terms": {"q": 1}, %s}]}' % _C, "h: unknown axis 'q'"),
+        ('{"label": "h", "constraints": [{"terms": {"7": 1}, %s}]}' % _C, "h: axis '7' out of range"),
+        ('{"label": "h", "constraints": [', "not valid JSON"),
+        ('{"label": "h", "constraints": [{"terms": {"0": 1}, "op": "<=", "rhs": "nan"}]}',
+         "finite"),
+        ('{"label": "h", "constraints": [{"terms": {"0": 1}, "op": "<=", "rhs": -1},'
+         ' {"terms": {"0": 1}, "op": ">=", "rhs": 1}]}',
+         "contradictory"),
+    ],
+    ids=["unknown-name", "index-out-of-range", "invalid-json", "nan-rhs", "contradictory"],
+)
+def test_bad_hypothesis_file_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "hyp.json"
+    path.write_text(text)
+    out = tmp_path / "never"
+    rc = main([
+        "bench", "--objective", "sphere:2", "--hypothesis", str(path),
+        "--trials", "1", "--iters", "2", "--out", str(out),
+    ])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err and message in err
+    assert not out.exists()
+
+
 def test_bench_unknown_objective_is_config_error(tmp_path, capsys):
     rc = main([
         "bench", "--objective", "mystery:4", "--trials", "1",

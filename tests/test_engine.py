@@ -5,7 +5,6 @@ from hypbo import (
     AcquisitionSpec,
     Dataset,
     EngineConfig,
-    GPConfig,
     ObjectiveError,
     box_hypothesis,
     get_objective,
@@ -16,6 +15,7 @@ from hypbo import (
     run,
     upper_step,
 )
+from hypbo import engine
 from hypbo.engine import GPCache
 from hypbo.gp import KernelParams
 from hypbo.trace import (
@@ -175,15 +175,15 @@ def test_upper_step_stays_in_box(sphere2):
     rng = np.random.default_rng(0)
     x = sphere2.space.sample(rng, 6)
     d = Dataset.from_arrays(x, [sphere2(v) for v in x])
-    prop, acq = upper_step(d, sphere2.space, AcquisitionSpec(), rng, gp=GPConfig())
+    prop, acq = upper_step(d, sphere2.space, AcquisitionSpec(), rng)
     assert sphere2.space.contains(prop)
     assert acq >= 0.0
 
 
 def test_upper_step_matches_grid_argmax(sphere1):
-    """With fixed hyperparameters the proposal lands near the dense-grid
-    EI argmax of the same model."""
-    from hypbo import expected_improvement, fit
+    """With fixed hyperparameters the EI maximizer lands near the
+    dense-grid EI argmax of the same model."""
+    from hypbo import expected_improvement, fit, maximize
 
     xs = np.array([[-4.0], [-2.0], [0.5], [2.5], [4.5]])
     d = Dataset.from_arrays(xs, [sphere1(v) for v in xs])
@@ -192,9 +192,8 @@ def test_upper_step_matches_grid_argmax(sphere1):
     gm, gv = model.predict(grid)
     x_grid = grid[int(np.argmax(expected_improvement(gm, np.sqrt(gv), d.y_max))), 0]
     for seed in range(5):
-        prop, _ = upper_step(
-            d, sphere1.space, AcquisitionSpec(), np.random.default_rng(seed),
-            gp=GPConfig(optimize=False),
+        prop, _ = maximize(
+            model, sphere1.space, d.y_max, AcquisitionSpec(), np.random.default_rng(seed)
         )
         assert abs(float(prop[0]) - x_grid) <= 0.3
 
@@ -202,8 +201,8 @@ def test_upper_step_matches_grid_argmax(sphere1):
 def test_upper_step_deterministic(sphere2):
     x = np.array([[1.0, 1.0], [-2.0, 0.5], [3.0, -3.0], [0.1, 0.2], [-4.0, 4.0]])
     d = Dataset.from_arrays(x, [sphere2(v) for v in x])
-    a, _ = upper_step(d, sphere2.space, AcquisitionSpec(), np.random.default_rng(9), gp=GPConfig())
-    b, _ = upper_step(d, sphere2.space, AcquisitionSpec(), np.random.default_rng(9), gp=GPConfig())
+    a, _ = upper_step(d, sphere2.space, AcquisitionSpec(), np.random.default_rng(9))
+    b, _ = upper_step(d, sphere2.space, AcquisitionSpec(), np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -214,25 +213,50 @@ def test_gp_cache_reoptimizes_on_schedule(sphere1):
     x = sphere1.space.sample(rng, 6)
     d = Dataset.from_arrays(x, [sphere1(v) for v in x])
     cache = GPCache(every=3)
-    cfg = GPConfig()
-    m0 = cache.fit("k", d, sphere1.space, cfg, np.random.default_rng(1))
+    m0 = cache.fit("k", d, sphere1.space, np.random.default_rng(1))
     assert "k" in cache.params  # call 0 optimized and stored
     stored = cache.params["k"].copy()
-    m1 = cache.fit("k", d, sphere1.space, cfg, np.random.default_rng(2))
+    m1 = cache.fit("k", d, sphere1.space, np.random.default_rng(2))
     # call 1 reuses the stored parameters verbatim
     assert m1.params.signal_variance == stored.signal_variance
     np.testing.assert_array_equal(m1.params.lengthscales, stored.lengthscales)
     assert cache.calls["k"] == 2
 
 
+def test_gp_cache_fit_settings(monkeypatch, sphere1):
+    seen = []
+    real_fit = engine.gp_fit
+
+    def recording_fit(data, **kw):
+        seen.append(kw)
+        return real_fit(data, **kw)
+
+    monkeypatch.setattr(engine, "gp_fit", recording_fit)
+    x = sphere1.space.sample(np.random.default_rng(0), 6)
+    d = Dataset.from_arrays(x, [sphere1(v) for v in x])
+    cache = GPCache(every=3)
+    for k in range(4):
+        cache.fit("k", d, sphere1.space, np.random.default_rng(k))
+    assert [kw["optimize"] for kw in seen] == [True, False, False, True]
+    for kw in seen:
+        assert kw["budget"] == 2 and kw["max_evals"] == 80
+        assert kw["optimize_noise"] is False
+        assert kw["space"] is sphere1.space
+    init = seen[0]["init"]
+    assert init.signal_variance == 1.0 and init.noise_variance == 1e-6
+    np.testing.assert_array_equal(init.lengthscales, np.ones(1))
+    # the later fits all start from what the first search tuned
+    assert seen[1]["init"] is seen[2]["init"] is seen[3]["init"]
+    assert seen[1]["init"] is not init
+
+
 def test_gp_cache_empty_data_gives_prior_without_counting(sphere2):
     cache = GPCache(every=2)
-    cfg = GPConfig(noise_variance=1e-4)
-    model = cache.fit("k", Dataset(), sphere2.space, cfg, np.random.default_rng(0))
+    model = cache.fit("k", Dataset(), sphere2.space, np.random.default_rng(0))
     assert model.n == 0
     assert model.params.signal_variance == 1.0
     np.testing.assert_array_equal(model.params.lengthscales, np.ones(2))
-    assert model.params.noise_variance == 1e-4
+    assert model.params.noise_variance == 1e-6
     assert model.space is sphere2.space
     assert cache.calls == {} and cache.params == {}
 
@@ -275,11 +299,8 @@ def test_engine_config_validation():
         EngineConfig(l_max=0)
     with pytest.raises(ValueError):
         EngineConfig(lower_incumbent="other")
-    with pytest.raises(ValueError):
-        GPConfig(restarts=0)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            GPConfig(noise_variance=bad)
+    with pytest.raises(ValueError, match="seed"):
+        EngineConfig(seed=-3)
 
 
 # -- full runs -------------------------------------------------------

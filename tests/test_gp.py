@@ -255,20 +255,6 @@ def test_fit_deterministic_given_seed():
     np.testing.assert_array_equal(a.params.lengthscales, b.params.lengthscales)
 
 
-def test_isotropic_shares_lengthscale():
-    rng = np.random.default_rng(13)
-    x = rng.uniform(-1, 1, size=(8, 3))
-    y = np.sum(x, axis=1)
-    m = fit(
-        Dataset.from_arrays(x, y),
-        optimize=True,
-        budget=2,
-        rng=np.random.default_rng(0),
-        isotropic=True,
-    )
-    assert np.all(m.params.lengthscales == m.params.lengthscales[0])
-
-
 def test_short_init_recovers_via_reference_start():
     """A per-step init on sparse data must not strand the fit on the
     nugget plateau: the data-scaled default start rescues it."""
@@ -290,14 +276,14 @@ def test_short_init_recovers_via_reference_start():
 # -- the likelihood fast path against the dense route -----------------
 
 
-def dense_neg_lml(xn, y, theta, base_noise, optimize_noise, isotropic):
+def dense_neg_lml(xn, y, theta, base_noise, optimize_noise):
     """Negative LML the dense way: squared differences of all n*n pairs,
     one matmul, the full kernel matrix, scipy's cholesky and cho_solve.
     Returns the value and the jitter the factorization needed (None when
     it gave up)."""
     n, d = xn.shape
     vals = np.exp(np.clip(theta, math.log(gp.PARAM_LO), math.log(gp.PARAM_HI)))
-    ls = np.full(d, vals[1]) if isotropic else vals[1 : 1 + d]
+    ls = vals[1 : 1 + d]
     noise = vals[-1] if optimize_noise else base_noise
     diff = xn[:, None, :] - xn[None, :, :]
     r2 = (diff * diff) @ (1.0 / ls**2)
@@ -337,20 +323,19 @@ def test_tril_sq_dists_bit_identical_to_dense_product(d):
 @given(
     n=st.integers(1, 80),
     d=st.integers(1, 10),
-    isotropic=st.booleans(),
     optimize_noise=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fast_likelihood_is_bit_identical_to_dense(n, d, isotropic, optimize_noise, seed):
+def test_fast_likelihood_is_bit_identical_to_dense(n, d, optimize_noise, seed):
     rng = np.random.default_rng(seed)
     xn = rng.uniform(size=(n, d))
     y = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-    n_par = 1 + (1 if isotropic else d) + int(optimize_noise)
-    fast = gp._neg_lml(xn, y, 1e-6, optimize_noise, isotropic)
+    n_par = 1 + d + int(optimize_noise)
+    fast = gp._neg_lml(xn, y, 1e-6, optimize_noise)
     # draws reach past the parameter box on both sides, so clipping,
     # near-singular kernels and the jitter path all come up
     for theta in rng.uniform(math.log(1e-5), math.log(1e5), size=(4, n_par)):
-        want, _ = dense_neg_lml(xn, y, theta, 1e-6, optimize_noise, isotropic)
+        want, _ = dense_neg_lml(xn, y, theta, 1e-6, optimize_noise)
         assert fast(theta).hex() == want.hex()
 
 
@@ -361,9 +346,9 @@ def test_fast_likelihood_duplicate_rows_take_the_jitter_path(n):
     xn[1] = xn[0]
     y = rng.normal(size=n)
     theta = np.zeros(4)  # unit signal variance: row 1 leaves a zero pivot
-    want, jitter = dense_neg_lml(xn, y, theta, 0.0, False, False)
+    want, jitter = dense_neg_lml(xn, y, theta, 0.0, False)
     assert jitter > 0.0
-    assert gp._neg_lml(xn, y, 0.0, False, False)(theta).hex() == want.hex()
+    assert gp._neg_lml(xn, y, 0.0, False)(theta).hex() == want.hex()
 
 
 def test_fast_likelihood_is_inf_when_jitter_cannot_rescue(monkeypatch):
@@ -373,27 +358,25 @@ def test_fast_likelihood_is_inf_when_jitter_cannot_rescue(monkeypatch):
     xn[1] = xn[0]
     y = rng.normal(size=10)
     theta = np.zeros(4)
-    assert dense_neg_lml(xn, y, theta, 0.0, False, False)[0] == math.inf
-    assert gp._neg_lml(xn, y, 0.0, False, False)(theta) == math.inf
+    assert dense_neg_lml(xn, y, theta, 0.0, False)[0] == math.inf
+    assert gp._neg_lml(xn, y, 0.0, False)(theta) == math.inf
 
 
-@pytest.mark.parametrize("isotropic", [False, True])
-def test_fit_params_unchanged_by_fast_likelihood(monkeypatch, isotropic):
+@pytest.mark.parametrize("optimize_noise", [False, True])
+def test_fit_params_unchanged_by_fast_likelihood(monkeypatch, optimize_noise):
     rng = np.random.default_rng(8)
     x = rng.uniform(0.0, 1.0, size=(30, 4))
     d = Dataset.from_arrays(x, np.sin(4.0 * x[:, 0]) + x[:, 1] * x[:, 2])
 
     def tuned():
         return fit(d, init=KernelParams(0.5, np.full(4, 0.3), 1e-3), budget=3,
-                   rng=np.random.default_rng(3), optimize_noise=True,
-                   isotropic=isotropic, max_evals=60).params
+                   rng=np.random.default_rng(3), optimize_noise=optimize_noise,
+                   max_evals=60).params
 
     fast = tuned()
     monkeypatch.setattr(
         gp, "_neg_lml",
-        lambda xn, y, base, on, iso: (
-            lambda theta: dense_neg_lml(xn, y, theta, base, on, iso)[0]
-        ),
+        lambda xn, y, base, on: (lambda theta: dense_neg_lml(xn, y, theta, base, on)[0]),
     )
     dense = tuned()
     assert fast.signal_variance.hex() == dense.signal_variance.hex()

@@ -74,7 +74,7 @@ def test_contains_sum_lower_bound(unit5):
 
 def test_contains_equality_slab():
     sp = SearchSpace([0.0, 0.0], [10.0, 10.0])
-    h = Hypothesis("pin", sp, eq_lhs=[[1.0, 0.0]], eq_rhs=[5.0], eq_tol=1e-9)
+    h = Hypothesis("pin", sp, eq_lhs=[[1.0, 0.0]], eq_rhs=[5.0])
     assert h.contains([5.0 - 0.5e-9, 1.0])
     assert not h.contains([5.0 + 1e-6, 1.0])
 
@@ -122,12 +122,13 @@ def test_certification_catches_non_box_emptiness(unit5):
 
 
 def test_sample_uniform_budget_error(unit5):
+    # a band of +-0.01 around x + y = 5 certifies within the 10,000
+    # construction-time draws but is missed by 8
     thin = Hypothesis(
         "thin",
         unit5,
         ineq_lhs=[[1.0, 1.0], [-1.0, -1.0]],
-        ineq_rhs=[5.0001, -4.9999],
-        certify=False,
+        ineq_rhs=[5.01, -4.99],
     )
     with pytest.raises(FeasibilityBudgetError):
         thin.sample_uniform(np.random.default_rng(0), max_attempts=8)
@@ -253,6 +254,14 @@ def test_hypothesis_from_dict_errors(unit5):
             {"label": "x", "constraints": [{"terms": {"9": 1.0}, "op": "<", "rhs": 0}]},
             unit5,
         )
+
+
+@pytest.mark.parametrize("terms", [{"x": 1.0}, {"-1": 1.0}, [1.0, 2.0]])
+def test_hypothesis_from_dict_bad_terms_are_syntax_errors(unit5, terms):
+    # unit5 has no axis names: only numeric indices resolve
+    spec = {"label": "lab", "constraints": [{"terms": terms, "op": "<=", "rhs": 1.0}]}
+    with pytest.raises(ConstraintSyntaxError, match="lab"):
+        hypothesis_from_dict(spec, unit5)
 
 
 def test_load_hypotheses_file(tmp_path, unit5):
